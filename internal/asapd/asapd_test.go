@@ -344,15 +344,17 @@ func TestSubmitValidation(t *testing.T) {
 	}()
 
 	for name, body := range map[string]string{
-		"empty grid":       `{"cells": []}`,
-		"unknown workload": `{"cells": [{"workload": "no-such"}]}`,
-		"unknown field":    `{"cellz": [{"workload": "mcf"}]}`,
-		"bad asap config":  `{"cells": [{"workload": "mcf", "asap": "p9"}]}`,
-		"bad scheme":       `{"cells": [{"workload": "mcf", "scheme": "no-such"}]}`,
-		"missing trace":    `{"cells": [{"trace": "/no/such/file.trace"}]}`,
-		"guest sans virt":  `{"cells": [{"workload": "mcf", "guest": "p1"}]}`,
-		"virt plus native": `{"cells": [{"workload": "mcf", "virtualized": true, "asap": "p1"}]}`,
-		"not json":         `{]`,
+		"empty grid":         `{"cells": []}`,
+		"unknown workload":   `{"cells": [{"workload": "no-such"}]}`,
+		"unknown field":      `{"cellz": [{"workload": "mcf"}]}`,
+		"bad asap config":    `{"cells": [{"workload": "mcf", "asap": "p9"}]}`,
+		"bad scheme":         `{"cells": [{"workload": "mcf", "scheme": "no-such"}]}`,
+		"missing trace":      `{"cells": [{"trace": "/no/such/file.trace"}]}`,
+		"guest sans virt":    `{"cells": [{"workload": "mcf", "guest": "p1"}]}`,
+		"virt plus native":   `{"cells": [{"workload": "mcf", "virtualized": true, "asap": "p1"}]}`,
+		"not json":           `{]`,
+		"hole prob above 1":  `{"cells": [{"workload": "mcf"}], "params": {"hole_prob": 2}}`,
+		"negative hole prob": `{"cells": [{"workload": "mcf"}], "params": {"hole_prob": -0.5}}`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

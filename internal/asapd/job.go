@@ -51,7 +51,9 @@ type CellSpec struct {
 }
 
 // ParamSpec is the subset of sim.Params a job may override; zero values keep
-// the defaults (sim.DefaultParams, or the reduced Fast protocol).
+// the defaults (sim.DefaultParams, or the reduced Fast protocol). The
+// effective parameters must pass sim.Params.Validate, so an out-of-range
+// value such as hole_prob 2 is rejected at submit time.
 type ParamSpec struct {
 	Fast           bool    `json:"fast,omitempty"` // reduced measurement protocol
 	WarmupWalks    int     `json:"warmup_walks,omitempty"`
@@ -91,9 +93,7 @@ func (ps ParamSpec) params() sim.Params {
 	if ps.RangeRegisters > 0 {
 		p.RangeRegisters = ps.RangeRegisters
 	}
-	if ps.HoleProb > 0 {
-		p.HoleProb = ps.HoleProb
-	}
+	p.HoleProb = ps.HoleProb
 	p.FiveLevel = ps.FiveLevel
 	return p
 }
@@ -196,6 +196,9 @@ func (spec JobSpec) plan() ([]plannedCell, error) {
 		repeats = 1
 	}
 	base := spec.Params.params()
+	if err := base.Validate(); err != nil {
+		return nil, fmt.Errorf("params: %w", err)
+	}
 	var out []plannedCell
 	for i, cs := range spec.Cells {
 		sc, err := cs.scenario()

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/mem"
+	"repro/internal/rng"
 )
 
 func TestSetAssocBasic(t *testing.T) {
@@ -69,27 +70,288 @@ func TestSetAssocInsertRefreshesAge(t *testing.T) {
 
 func TestSetAssocLookupInsertEquivalence(t *testing.T) {
 	// LookupInsert must leave the array in exactly the state that the
-	// two-scan Lookup-then-Insert sequence would, for any key stream.
-	combined, split := NewSetAssoc(64, 4), NewSetAssoc(64, 4)
-	s := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < 10_000; i++ {
-		s = s*6364136223846793005 + 1442695040888963407
-		key := s >> 40 // small key space so sets fill and evict
-		hit := combined.LookupInsert(key)
-		if split.Lookup(key) != hit {
-			t.Fatalf("op %d: LookupInsert hit=%v, Lookup disagrees", i, hit)
-		}
-		if !hit {
-			split.Insert(key)
-		}
-		// The two arrays must stay observationally identical: probe a window
-		// of keys around the current one without disturbing LRU state.
-		for d := uint64(0); d < 8; d++ {
-			if combined.Contains(key+d) != split.Contains(key+d) {
-				t.Fatalf("op %d: arrays diverged at key %d", i, key+d)
+	// two-scan Lookup-then-Insert sequence would, for any key stream,
+	// including streams whose ASID-style masked flushes punch holes
+	// mid-set.
+	for _, g := range diffGeometries {
+		for _, seed := range []uint64{1, 0x9e3779b97f4a7c15} {
+			combined, split := NewSetAssoc(g.entries, g.ways), NewSetAssoc(g.entries, g.ways)
+			ks := newDiffKeys(g, seed)
+			for i := 0; i < g.ops/2; i++ {
+				if ks.s.Intn(16) == 0 {
+					mask, match := ks.flushMask()
+					if a, b := combined.FlushMask(mask, match), split.FlushMask(mask, match); a != b {
+						t.Fatalf("%s seed %d op %d: FlushMask invalidated %d vs %d", g.name, seed, i, a, b)
+					}
+					continue
+				}
+				key := ks.key()
+				hit := combined.LookupInsert(key)
+				if split.Lookup(key) != hit {
+					t.Fatalf("%s seed %d op %d: LookupInsert hit=%v, Lookup disagrees", g.name, seed, i, hit)
+				}
+				if !hit {
+					split.Insert(key)
+				}
+				// The two arrays must stay observationally identical: probe
+				// every key of the touched set without disturbing LRU state.
+				for _, k := range ks.setKeys(key) {
+					if combined.Contains(k) != split.Contains(k) {
+						t.Fatalf("%s seed %d op %d: arrays diverged at key %#x", g.name, seed, i, k)
+					}
+				}
 			}
 		}
 	}
+}
+
+// refWay and refSetAssoc are the previous age-and-clock implementation of
+// SetAssoc, kept as a test-only reference model: each way carries a tag and
+// an LRU age stamped from a global clock, holes left by FlushMask stay in
+// place, and a miss fills the first empty way or else the way with the
+// smallest age.
+type refWay struct {
+	tag uint64
+	age uint64
+}
+
+type refSetAssoc struct {
+	nways   int
+	setMask uint64
+	ways    []refWay
+	clock   uint64
+}
+
+func newRefSetAssoc(entries, ways int) *refSetAssoc {
+	r := &refSetAssoc{nways: ways, setMask: uint64(entries/ways - 1), ways: make([]refWay, entries)}
+	r.Flush()
+	return r
+}
+
+func (r *refSetAssoc) set(key uint64) []refWay {
+	base := int(key&r.setMask) * r.nways
+	return r.ways[base : base+r.nways]
+}
+
+func (r *refSetAssoc) Lookup(key uint64) bool {
+	if key == invalidTag {
+		return false
+	}
+	set := r.set(key)
+	for i := range set {
+		if set[i].tag == key {
+			r.clock++
+			set[i].age = r.clock
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refSetAssoc) Contains(key uint64) bool {
+	if key == invalidTag {
+		return false
+	}
+	for _, w := range r.set(key) {
+		if w.tag == key {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refSetAssoc) LookupInsert(key uint64) bool {
+	set := r.set(key)
+	r.clock++
+	victim := -1
+	for i := range set {
+		if set[i].tag == key {
+			set[i].age = r.clock
+			return true
+		}
+		if set[i].tag == invalidTag {
+			if victim < 0 || set[victim].tag != invalidTag {
+				victim = i
+			}
+			continue
+		}
+		if victim < 0 || (set[victim].tag != invalidTag && set[i].age < set[victim].age) {
+			victim = i
+		}
+	}
+	set[victim] = refWay{tag: key, age: r.clock}
+	return false
+}
+
+func (r *refSetAssoc) Insert(key uint64) { r.LookupInsert(key) }
+
+func (r *refSetAssoc) Flush() {
+	for i := range r.ways {
+		r.ways[i].tag = invalidTag
+	}
+}
+
+func (r *refSetAssoc) FlushMask(mask, match uint64) uint64 {
+	var n uint64
+	for i := range r.ways {
+		if r.ways[i].tag != invalidTag && r.ways[i].tag&mask == match {
+			r.ways[i].tag = invalidTag
+			n++
+		}
+	}
+	return n
+}
+
+// diffGeometry is one array shape the differential tests cover. ops bounds
+// the oracle's stream. The widest geometries get shorter streams: each LLC
+// flush sweeps all 16384 sets of both arrays, and each 32-way operation
+// re-checks 264 keys.
+type diffGeometry struct {
+	name          string
+	entries, ways int
+	ops           int
+}
+
+var diffGeometries = []diffGeometry{
+	{"direct-mapped", 64, 1, 20_000},
+	{"8-way L1/L2", 512, 8, 20_000},
+	{"20-way LLC", 16384 * 20, 20, 2_000},
+	{"fully-assoc PWC", 4, 4, 20_000},
+	{"fully-assoc 32", 32, 32, 5_000},
+}
+
+// asidShift is where the differential keys carry their address-space tag,
+// mirroring the TLBs' and PWCs' packing.
+const asidShift = 40
+
+// diffKeys draws keys that crowd a few sets of a geometry: a handful of
+// set indexes, tags skewed towards recent small values so hits, fills and
+// evictions all occur, and one of four ASIDs in the high bits so masked
+// flushes punch holes mid-set.
+type diffKeys struct {
+	s             *rng.Stream
+	sets, touched uint64
+	tags          uint64
+	bySet         [][]uint64 // every drawable key, per touched set
+	all           []uint64
+}
+
+const diffASIDs = 4
+
+func newDiffKeys(g diffGeometry, seed uint64) *diffKeys {
+	sets := uint64(g.entries / g.ways)
+	d := &diffKeys{s: rng.New(seed), sets: sets, touched: min(sets, 4), tags: uint64(2*g.ways + 2)}
+	for set := uint64(0); set < d.touched; set++ {
+		var keys []uint64
+		for asid := uint64(0); asid < diffASIDs; asid++ {
+			for tag := uint64(0); tag < d.tags; tag++ {
+				keys = append(keys, asid<<asidShift|tag*sets+set)
+			}
+		}
+		d.bySet = append(d.bySet, keys)
+		d.all = append(d.all, keys...)
+	}
+	return d
+}
+
+func (d *diffKeys) key() uint64 {
+	set := d.s.Uint64n(d.touched)
+	tag := d.s.Uint64n(d.s.Uint64n(d.tags) + 1)
+	asid := d.s.Uint64n(diffASIDs)
+	return asid<<asidShift | tag*d.sets + set
+}
+
+// setKeys returns every key the stream can draw that maps to key's set.
+func (d *diffKeys) setKeys(key uint64) []uint64 { return d.bySet[key&(d.sets-1)] }
+
+// flushMask picks a selective invalidation: usually one ASID's entries (the
+// shootdown shape), sometimes every key with an odd tag, sometimes a single
+// key.
+func (d *diffKeys) flushMask() (mask, match uint64) {
+	switch d.s.Intn(4) {
+	case 0:
+		return d.sets, d.sets * d.s.Uint64n(2)
+	case 1:
+		return ^uint64(0), d.key()
+	default:
+		return ^uint64(1<<asidShift - 1), d.s.Uint64n(diffASIDs) << asidShift
+	}
+}
+
+// checkRecencyLayout asserts the tag-only invariant on key's set: empty
+// ways form a suffix and no key is resident twice.
+func checkRecencyLayout(t *testing.T, s *SetAssoc, key uint64) {
+	t.Helper()
+	set := s.set(key)
+	for i, tag := range set {
+		if tag == invalidTag {
+			continue
+		}
+		if i > 0 && set[i-1] == invalidTag {
+			t.Fatalf("set of key %#x: way %d valid after an empty way: %x", key, i, set)
+		}
+		for _, prev := range set[:i] {
+			if prev == tag {
+				t.Fatalf("set of key %#x: tag %#x resident twice: %x", key, tag, set)
+			}
+		}
+	}
+}
+
+func TestSetAssocMatchesAgeReference(t *testing.T) {
+	// Differential oracle: the recency-ordered array must agree with the
+	// age-and-clock reference model on every operation's result and on the
+	// residency of every key the stream can draw.
+	for _, g := range diffGeometries {
+		for _, seed := range []uint64{7, 20191012} {
+			got, ref := NewSetAssoc(g.entries, g.ways), newRefSetAssoc(g.entries, g.ways)
+			ks := newDiffKeys(g, seed)
+			for i := 0; i < g.ops; i++ {
+				key := ks.key()
+				op := ks.s.Intn(100)
+				var a, b uint64
+				switch {
+				case op < 45:
+					a, b = b2u(got.LookupInsert(key)), b2u(ref.LookupInsert(key))
+				case op < 60:
+					a, b = b2u(got.Lookup(key)), b2u(ref.Lookup(key))
+				case op < 70:
+					a, b = b2u(got.Contains(key)), b2u(ref.Contains(key))
+				case op < 88:
+					got.Insert(key)
+					ref.Insert(key)
+				case op < 99:
+					mask, match := ks.flushMask()
+					a, b = got.FlushMask(mask, match), ref.FlushMask(mask, match)
+				default:
+					got.Flush()
+					ref.Flush()
+				}
+				if a != b {
+					t.Fatalf("%s seed %d op %d (kind %d, key %#x): result %d, reference %d", g.name, seed, i, op, key, a, b)
+				}
+				keys := ks.setKeys(key)
+				if op >= 88 {
+					keys = ks.all // flushes touch every set
+				}
+				for _, k := range keys {
+					if got.Contains(k) != ref.Contains(k) {
+						t.Fatalf("%s seed %d op %d (kind %d): residency of %#x diverged: got %v", g.name, seed, i, op, k, got.Contains(k))
+					}
+				}
+				for set := uint64(0); set < ks.touched; set++ {
+					checkRecencyLayout(t, got, set)
+				}
+			}
+		}
+	}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestSetAssocSentinelKeyPanics(t *testing.T) {
@@ -280,13 +542,15 @@ func TestFlushMask(t *testing.T) {
 }
 
 func TestLookupInsertAfterMidSetHole(t *testing.T) {
-	// FlushMask can invalidate ways mid-set. LookupInsert must keep scanning
-	// past the hole: a resident key beyond it is a hit, not a duplicate
-	// install (which would halve the set's effective associativity).
+	// FlushMask can invalidate ways mid-set. The survivor behind the freed
+	// way must stay reachable: a LookupInsert of it is a hit, not a
+	// duplicate install (which would halve the set's effective
+	// associativity). The survivor is older than the flushed key, so the
+	// hole opens in front of it.
 	s := NewSetAssoc(4, 4) // one set
 	const hi = uint64(1) << 40
-	s.Insert(hi | 4) // way 0: tagged
-	s.Insert(8)      // way 1: untagged
+	s.Insert(8)      // untagged
+	s.Insert(hi | 4) // tagged, now the most recent: way 0, ahead of key 8
 	if n := s.FlushMask(^uint64(1<<40-1), hi); n != 1 {
 		t.Fatalf("FlushMask invalidated %d, want 1", n)
 	}

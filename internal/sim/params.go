@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -113,6 +114,21 @@ func DefaultParams() Params {
 		SwitchCycles:   3_000,
 		DescSwapCycles: 6,
 	}
+}
+
+// Validate rejects parameter values that would hang a run or silently
+// misconfigure it. CoAccessCycles must be a positive, finite cycle count:
+// the co-runner and the multi-process footprint replay issue one access per
+// CoAccessCycles, so zero would never pay off the co-runner's debt. HoleProb
+// must be a probability.
+func (p Params) Validate() error {
+	if !(p.CoAccessCycles > 0) || math.IsInf(p.CoAccessCycles, 1) {
+		return fmt.Errorf("sim: CoAccessCycles must be positive and finite, got %v", p.CoAccessCycles)
+	}
+	if !(p.HoleProb >= 0 && p.HoleProb <= 1) {
+		return fmt.Errorf("sim: HoleProb must lie in [0,1], got %v", p.HoleProb)
+	}
+	return nil
 }
 
 // ForRepeat returns the parameter set for the repeat-th independent repeat of

@@ -144,11 +144,15 @@ func RunTappedCtx(ctx context.Context, sc Scenario, p Params, tap RefTap) (*Resu
 // RunObserved is the fully instrumented entry point: RunTappedCtx plus an
 // optional cycle-domain event tracer observing the translation machinery
 // (nil behaves exactly like RunTappedCtx — observation never perturbs the
-// simulation, so metrics are identical with and without a tracer).
+// simulation, so metrics are identical with and without a tracer). Every
+// entry point lands here, so this is where p is validated (Params.Validate).
 func RunObserved(ctx context.Context, sc Scenario, p Params, tap RefTap, tr *obs.Tracer) (*Result, error) {
+	res := &Result{Scenario: sc}
+	if err := p.Validate(); err != nil {
+		return res, err
+	}
 	h := cache.NewHierarchy(p.Cache)
 	mshr := cache.NewMSHRFile(p.MSHRs)
-	res := &Result{Scenario: sc}
 
 	if err := mmu.Validate(sc.Scheme); err != nil {
 		return res, err
