@@ -114,6 +114,12 @@ func main() {
 	if *quantum > 0 {
 		p.QuantumRefs = *quantum
 	}
+	// Reject out-of-range values (-holes 2) as flag errors before any
+	// assembly is built, rather than when the run starts.
+	if err := p.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	sc := sim.Scenario{
 		Workload:      spec,
 		Virtualized:   *virtual,

@@ -278,21 +278,24 @@ func (d *diffKeys) flushMask() (mask, match uint64) {
 	}
 }
 
-// checkRecencyLayout asserts the tag-only invariant on key's set: empty
-// ways form a suffix and no key is resident twice.
+// checkRecencyLayout asserts the ring invariant on key's set, read in
+// logical (head-first) order: empty ways form a suffix and no key is
+// resident twice.
 func checkRecencyLayout(t *testing.T, s *SetAssoc, key uint64) {
 	t.Helper()
-	set := s.set(key)
+	idx, ring := s.set(key)
+	head := int(s.heads[idx])
+	set := append(append([]uint64(nil), ring[head:]...), ring[:head]...)
 	for i, tag := range set {
-		if tag == invalidTag {
+		if tag == 0 {
 			continue
 		}
-		if i > 0 && set[i-1] == invalidTag {
-			t.Fatalf("set of key %#x: way %d valid after an empty way: %x", key, i, set)
+		if i > 0 && set[i-1] == 0 {
+			t.Fatalf("set of key %#x (head %d): logical way %d valid after an empty way: %x", key, head, i, set)
 		}
 		for _, prev := range set[:i] {
 			if prev == tag {
-				t.Fatalf("set of key %#x: tag %#x resident twice: %x", key, tag, set)
+				t.Fatalf("set of key %#x (head %d): key %#x resident twice: %x", key, head, ^tag, set)
 			}
 		}
 	}

@@ -117,13 +117,17 @@ func DefaultParams() Params {
 }
 
 // Validate rejects parameter values that would hang a run or silently
-// misconfigure it. CoAccessCycles must be a positive, finite cycle count:
-// the co-runner and the multi-process footprint replay issue one access per
-// CoAccessCycles, so zero would never pay off the co-runner's debt. HoleProb
-// must be a probability.
+// misconfigure it. CoAccessCycles must be a finite cycle count of at least
+// 1: the co-runner and the multi-process footprint replay issue one access
+// per CoAccessCycles, polling the context only between references. Zero
+// would never pay off the co-runner's debt, and a tiny pacing such as 1e-300
+// makes one reference's burst so long (or its float debt so large that the
+// decrement no longer changes it) that the run never returns. At 1 the
+// co-runner issues at most one request per cycle. HoleProb must be a
+// probability.
 func (p Params) Validate() error {
-	if !(p.CoAccessCycles > 0) || math.IsInf(p.CoAccessCycles, 1) {
-		return fmt.Errorf("sim: CoAccessCycles must be positive and finite, got %v", p.CoAccessCycles)
+	if !(p.CoAccessCycles >= 1) || math.IsInf(p.CoAccessCycles, 1) {
+		return fmt.Errorf("sim: CoAccessCycles must be a finite cycle count of at least 1, got %v", p.CoAccessCycles)
 	}
 	if !(p.HoleProb >= 0 && p.HoleProb <= 1) {
 		return fmt.Errorf("sim: HoleProb must lie in [0,1], got %v", p.HoleProb)

@@ -1,9 +1,14 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/mem"
+	"repro/internal/workload"
 )
 
 func TestParamsValidate(t *testing.T) {
@@ -15,6 +20,8 @@ func TestParamsValidate(t *testing.T) {
 		"negative pacing":    func(p *Params) { p.CoAccessCycles = -18 },
 		"NaN pacing":         func(p *Params) { p.CoAccessCycles = math.NaN() },
 		"infinite pacing":    func(p *Params) { p.CoAccessCycles = math.Inf(1) },
+		"sub-cycle pacing":   func(p *Params) { p.CoAccessCycles = 1e-9 },
+		"denormal pacing":    func(p *Params) { p.CoAccessCycles = 1e-300 },
 		"hole prob above 1":  func(p *Params) { p.HoleProb = 2 },
 		"negative hole prob": func(p *Params) { p.HoleProb = -0.1 },
 		"NaN hole prob":      func(p *Params) { p.HoleProb = math.NaN() },
@@ -62,5 +69,55 @@ func TestZeroPacingFailsFast(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: run with zero pacing did not return", name)
 		}
+	}
+}
+
+// cancelTap cancels its context when the run consumes reference at, so the
+// cancellation lands just before that reference's co-runner burst.
+type cancelTap struct {
+	at       int
+	refs     int
+	cancel   context.CancelFunc
+	canceled time.Time
+}
+
+func (c *cancelTap) BeginProcess(int, workload.Spec, *workload.Layout, uint64) error { return nil }
+
+func (c *cancelTap) Ref(int, mem.VirtAddr) {
+	if c.refs++; c.refs == c.at {
+		c.canceled = time.Now()
+		c.cancel()
+	}
+}
+
+// TestCancelMidCoRunnerBurst checks that cancellation reaches a colocated run
+// at the densest pacing Validate admits: with one co-runner request per
+// cycle, nearly all of the run's time is spent in co-runner bursts between
+// context polls. Cancelled mid-window, just before a burst, the run must
+// return ctx.Err() within a second.
+func TestCancelMidCoRunnerBurst(t *testing.T) {
+	p := fastParams()
+	p.CoAccessCycles = 1
+	p.WarmupWalks, p.MeasureWalks, p.MaxRefs = 1<<40, 1<<40, 1<<60
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tap := &cancelTap{at: 3 * (ctxCheckMask + 1) / 2, cancel: cancel}
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunTappedCtx(ctx, Scenario{Workload: tinySpec(), Colocated: true}, p, tap)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run returned %v, want context.Canceled", err)
+		}
+		d := time.Since(tap.canceled)
+		t.Logf("returned %v after cancel", d)
+		if d > time.Second {
+			t.Fatalf("run returned %v after cancel, want within 1s", d)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("cancelled run did not return within 30s")
 	}
 }
