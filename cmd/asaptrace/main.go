@@ -227,10 +227,6 @@ func replay(args []string) error {
 	if err != nil {
 		return err
 	}
-	tr, err := trace.LoadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
 	p := sim.DefaultParams()
 	if *fast {
 		fastParams(&p, false)
@@ -242,6 +238,16 @@ func replay(args []string) error {
 		p.MeasureWalks = *measure
 	}
 	p.HoleProb = *holes
+	// Reject out-of-range values (-holes 2) as flag errors before the trace
+	// is read, rather than when the run starts.
+	if err := p.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "asaptrace replay:", err)
+		os.Exit(2)
+	}
+	tr, err := trace.LoadFile(fs.Arg(0))
+	if err != nil {
+		return err
+	}
 	sc := sim.UseTrace(tr)
 	sc.ASAP = sim.ASAPConfig{Native: cfg}
 	sc.Colocated = *colocate

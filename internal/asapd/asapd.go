@@ -87,6 +87,7 @@ type Service struct {
 	q      *queue.Queue[*Job]
 	runner *runner.Runner
 	store  *store.Store // nil when StoreDir is empty
+	traces traceCache   // decoded trace cells, by file content
 
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
@@ -154,7 +155,7 @@ func New(cfg Config) (*Service, error) {
 // blocks on simulation work. Errors: validation failures (HTTP 400), ErrBusy
 // (429), ErrDraining (503).
 func (s *Service) Submit(spec JobSpec) (*Job, error) {
-	plan, err := spec.plan()
+	plan, err := spec.plan(&s.traces)
 	if err != nil {
 		return nil, err
 	}

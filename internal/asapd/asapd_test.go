@@ -355,6 +355,7 @@ func TestSubmitValidation(t *testing.T) {
 		"not json":           `{]`,
 		"hole prob above 1":  `{"cells": [{"workload": "mcf"}], "params": {"hole_prob": 2}}`,
 		"negative hole prob": `{"cells": [{"workload": "mcf"}], "params": {"hole_prob": -0.5}}`,
+		"too many units":     `{"cells": [{"workload": "mcf"}, {"workload": "mcf"}], "repeats": 40000}`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -1,8 +1,13 @@
 package asapd
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"io"
+	"os"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -24,7 +29,8 @@ type JobSpec struct {
 	// Params tunes the measurement protocol for every cell of the job.
 	Params ParamSpec `json:"params"`
 	// Repeats is the number of independent repeats per cell (seeds derived
-	// per repeat exactly like cmd/paperrepro); 0 means 1.
+	// per repeat exactly like cmd/paperrepro); 0 means 1. Cells × Repeats
+	// may not exceed 65536 (maxJobUnits).
 	Repeats int `json:"repeats,omitempty"`
 	// TimeoutMS bounds the whole job. On expiry the job reports the cells
 	// that completed plus per-cell deadline errors for the rest. 0 means no
@@ -111,13 +117,92 @@ func (pc plannedCell) key() sim.CellKey {
 	return sim.Key(pc.sc, pc.base.ForRepeat(pc.repeat))
 }
 
-// scenario validates one cell spec and builds its Scenario. Trace files are
-// loaded (and registered for replay) at submission, so a bad path is a 400
-// at submit time, not a buried per-cell error an hour later.
-func (cs CellSpec) scenario() (sim.Scenario, error) {
+// maxTraceFileBytes bounds how much of a trace file asapd reads. trace.Load
+// caps an uncompressed body at 1 GiB and gzip framing adds well under 1 MiB
+// to that, so no larger file can decode.
+const maxTraceFileBytes = 1<<30 + 1<<20
+
+// traceCache holds decoded traces keyed by the SHA-256 of their file's raw
+// bytes, so a Service decodes each distinct capture once. The key is the
+// content, not the path or mtime: a file rewritten in place is decoded
+// again, and identical bytes under two paths share one entry. Errors are
+// never cached. Every entry is the pointer handed to sim.UseTrace, whose
+// registry keeps it for the life of the process anyway, so the cache itself
+// adds only its keys. The zero value is ready to use.
+type traceCache struct {
+	mu      sync.Mutex
+	traces  map[[sha256.Size]byte]*trace.Trace
+	decodes int // successful decodes (cache misses); read by tests
+}
+
+// load reads the trace file at path and returns its decoded trace, decoding
+// only content the cache has not seen. Two racing first loads of the same
+// bytes may both decode; the first to finish is kept and returned to both.
+func (c *traceCache) load(path string) (*trace.Trace, error) {
+	raw, err := readTraceFile(path)
+	if err != nil {
+		return nil, err
+	}
+	key := sha256.Sum256(raw)
+	c.mu.Lock()
+	tr, ok := c.traces[key]
+	c.mu.Unlock()
+	if ok {
+		return tr, nil
+	}
+	tr, err = trace.Load(bytes.NewReader(raw))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err) // trace.LoadFile's wording
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.decodes++
+	if first, ok := c.traces[key]; ok {
+		return first, nil
+	}
+	if c.traces == nil {
+		c.traces = map[[sha256.Size]byte]*trace.Trace{}
+	}
+	c.traces[key] = tr
+	return tr, nil
+}
+
+// readTraceFile reads a whole trace file, as long as its size says it is.
+// Only regular files are read, so a cell naming a device or a FIFO is refused
+// instead of read without end; O_NONBLOCK keeps the open of a FIFO from
+// waiting for a writer.
+func readTraceFile(path string) ([]byte, error) {
+	f, err := os.OpenFile(path, os.O_RDONLY|syscall.O_NONBLOCK, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if !fi.Mode().IsRegular() {
+		return nil, fmt.Errorf("%s: not a regular file", path)
+	}
+	if fi.Size() > maxTraceFileBytes {
+		return nil, fmt.Errorf("%s: larger than %d bytes", path, maxTraceFileBytes)
+	}
+	raw := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, raw); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return raw, nil
+}
+
+// scenario validates one cell spec and builds its Scenario. A trace file is
+// read on every submit, so a bad path is a 400 at submit time, not a buried
+// per-cell error an hour later, and a rewritten file is picked up. It is
+// decoded only once per distinct content (traces) and registered for
+// replay.
+func (cs CellSpec) scenario(traces *traceCache) (sim.Scenario, error) {
 	var sc sim.Scenario
 	if cs.Trace != "" {
-		tr, err := trace.LoadFile(cs.Trace)
+		tr, err := traces.load(cs.Trace)
 		if err != nil {
 			return sc, fmt.Errorf("trace %s: %w", cs.Trace, err)
 		}
@@ -183,8 +268,13 @@ func orOff(s string) string {
 	return s
 }
 
-// plan validates the whole spec and expands it to (cell, repeat) units.
-func (spec JobSpec) plan() ([]plannedCell, error) {
+// maxJobUnits bounds a job's (cell, repeat) units, so one small request
+// cannot make plan allocate without limit.
+const maxJobUnits = 1 << 16
+
+// plan validates the whole spec and expands it to (cell, repeat) units,
+// decoding trace cells through traces.
+func (spec JobSpec) plan(traces *traceCache) ([]plannedCell, error) {
 	if len(spec.Cells) == 0 {
 		return nil, fmt.Errorf("job has no cells")
 	}
@@ -195,13 +285,16 @@ func (spec JobSpec) plan() ([]plannedCell, error) {
 	if repeats == 0 {
 		repeats = 1
 	}
+	if repeats > maxJobUnits/len(spec.Cells) {
+		return nil, fmt.Errorf("%d cells × %d repeats exceed %d units per job", len(spec.Cells), repeats, maxJobUnits)
+	}
 	base := spec.Params.params()
 	if err := base.Validate(); err != nil {
 		return nil, fmt.Errorf("params: %w", err)
 	}
 	var out []plannedCell
 	for i, cs := range spec.Cells {
-		sc, err := cs.scenario()
+		sc, err := cs.scenario(traces)
 		if err != nil {
 			return nil, fmt.Errorf("cell %d: %w", i, err)
 		}

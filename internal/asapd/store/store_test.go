@@ -16,7 +16,7 @@ import (
 // testCell returns a small real simulation cell: the store's contract is
 // byte-level fidelity for genuine results, so the tests round-trip the real
 // thing rather than a hand-rolled struct.
-func testCell(t *testing.T) sim.CellKey {
+func testCell(t testing.TB) sim.CellKey {
 	t.Helper()
 	w, ok := workload.ByName("mcf")
 	if !ok {
@@ -28,7 +28,7 @@ func testCell(t *testing.T) sim.CellKey {
 	return sim.Key(sim.Scenario{Workload: w}, p)
 }
 
-func simulate(t *testing.T, key sim.CellKey) *sim.Result {
+func simulate(t testing.TB, key sim.CellKey) *sim.Result {
 	t.Helper()
 	res, err := sim.Run(key.Scenario, key.Params)
 	if err != nil {
@@ -37,7 +37,7 @@ func simulate(t *testing.T, key sim.CellKey) *sim.Result {
 	return res
 }
 
-func openStore(t *testing.T, dir string, fsys faultfs.FS) *Store {
+func openStore(t testing.TB, dir string, fsys faultfs.FS) *Store {
 	t.Helper()
 	s, err := Open(dir, fsys)
 	if err != nil {
